@@ -7,10 +7,10 @@
 //! compared against the same job on a dedicated (quiet, unshared) cluster.
 //! The difference is the total price of staying unobtrusive.
 //!
-//! The scenario itself lives in [`bench_tables::simbench::day_in_the_life`]
-//! so the engine benchmark can reuse it.
+//! The scenario itself lives in [`bench_tables::scenarios::day_in_the_life`]
+//! so the gate tests can reuse it.
 
-use bench_tables::simbench::{day_in_the_life, DayConfig};
+use bench_tables::scenarios::{day_in_the_life, DayConfig};
 
 fn main() {
     let seed = 1994;

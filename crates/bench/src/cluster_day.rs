@@ -9,32 +9,15 @@
 //! through the fault plane, and the whole thing partitioned across
 //! [`simcore::ShardedSim`] shards by segment.
 //!
-//! Two cost modes replay the *identical* virtual-time scenario:
+//! The replay hot path is pooled: metric names are interned once per
+//! segment ([`simcore::CounterId`] & co.), sampled-VP mailboxes come from
+//! a [`simcore::MailboxPool`], actor slots are recycled
+//! ([`simcore::Sim::set_actor_recycling`]) and residency counts are O(1).
 //!
-//! * **baseline** — the pre-pooling hot path: every arrival formats its
-//!   metric names (`format!` + by-name registry lookup), every sampled
-//!   VP gets a fresh [`simcore::Mailbox`] and a fresh actor slot, and
-//!   residency counts materialize full unit vectors;
-//! * **pooled** — interned metric ids ([`simcore::CounterId`] & co.),
-//!   a [`simcore::MailboxPool`] recycling VP mailboxes, actor-slot
-//!   recycling ([`simcore::Sim::set_actor_recycling`]), and O(1)
-//!   indexed residency counts.
-//!
-//! Decisions, metrics and virtual end time must be byte-identical across
-//! the two modes *and* across 1/2/4 shards; the mode toggle may only
-//! move wall clock. Gates (asserted by the `cluster_day` binary):
-//!
-//! * **Replay identity.** Each shard count runs twice; merged metrics
-//!   JSON and per-segment decision logs must be byte-identical.
-//! * **Cross-shard identity.** Decisions, metrics JSON, trace events
-//!   and virtual end time must not depend on the shard count.
-//! * **Capped carrier pool.** A run with `set_max_idle_carriers(2)`
-//!   must replay identically to the uncapped run.
-//! * **Baseline ≡ pooled.** Same observables across the cost modes.
-//! * **Pooling ratio.** Pooled mode must replay ≥ [`POOLING_GATE`]×
-//!   the baseline's trace events/sec.
-//! * **Flat scaling.** Per-event wall cost at 4096 hosts must stay
-//!   within [`FLATNESS_GATE`]× of the 1024-host cost.
+//! Decisions, merged metrics JSON, trace events and virtual end time must
+//! be byte-identical across replays, across 1/2/4 shards and under a
+//! capped carrier pool (`set_max_idle_carriers`) — asserted by the root
+//! package's `tests/gates.rs`.
 
 use cpe::{Load, LoadFeed, MigrationTarget};
 use parking_lot::Mutex;
@@ -53,9 +36,6 @@ use worknet::{Calib, Cluster, Fault, FaultSchedule, HostId, HostSpec};
 /// Host classes (→ segments → clusters) the day is spread over.
 pub const CD_SEGMENTS: usize = 8;
 
-/// Shard counts the identity sweep runs at.
-pub const CD_SHARD_COUNTS: &[usize] = &[1, 2, 4];
-
 /// Replay epoch: the driver batches trace events, monitor deltas and the
 /// cross-segment pulse into one wakeup per epoch (the generator's own
 /// 15-minute diurnal buckets). Also the ring-link latency, i.e. the
@@ -69,19 +49,6 @@ pub const EPOCHS: usize = 96;
 /// mailbox that lives until the VP departs — the churn that exercises
 /// slot and mailbox recycling.
 pub const VP_SAMPLE: u64 = 64;
-
-/// Required pooled/baseline trace-events-per-second ratio.
-pub const POOLING_GATE: f64 = 1.5;
-
-/// Max allowed per-event wall-cost growth from 1024 to 4096 hosts.
-pub const FLATNESS_GATE: f64 = 1.25;
-
-/// Below this wall clock (either cell), the flatness ratio is timer
-/// noise, not signal, and the gate is recorded but not enforced.
-pub const FLATNESS_WALL_FLOOR: f64 = 0.050;
-
-/// Minimum trace events per wall second in pooled mode.
-pub const EVENTS_PER_SEC_FLOOR: f64 = 10_000.0;
 
 /// Which shard a segment lives on: contiguous blocks, like the
 /// `par_kernel` sweep.
@@ -102,16 +69,13 @@ pub struct CdConfig {
     pub arrivals: usize,
     /// Shards to partition the segments across.
     pub shards: usize,
-    /// Pooled (interned ids, mailbox pool, slot recycling) or baseline
-    /// (per-event `format!`, fresh mailboxes, growing slot table).
-    pub pooled: bool,
     /// Cap on idle carrier threads per shard, when set.
     pub max_idle_carriers: Option<usize>,
 }
 
 impl CdConfig {
-    /// The standard scenario at a given host count: 8 segments, pooled,
-    /// 1 shard, full-size trace unless `smoke`.
+    /// The standard scenario at a given host count: 8 segments, 1 shard,
+    /// full-size trace unless `smoke`.
     pub fn sized(smoke: bool, hosts_per_segment: usize) -> CdConfig {
         CdConfig {
             seed: 1994,
@@ -119,7 +83,6 @@ impl CdConfig {
             hosts_per_segment,
             arrivals: if smoke { 20_000 } else { 60_000 },
             shards: 1,
-            pooled: true,
             max_idle_carriers: None,
         }
     }
@@ -148,14 +111,7 @@ pub struct CdRun {
     pub sim_secs: f64,
 }
 
-impl CdRun {
-    /// Trace events replayed per wall second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.trace_events as f64 / self.wall_secs.max(1e-9)
-    }
-}
-
-/// Interned per-segment metric ids (pooled mode).
+/// Interned per-segment metric ids.
 struct SegMetricIds {
     arrivals: CounterId,
     departs: CounterId,
@@ -189,12 +145,9 @@ type DrainHook = Box<dyn FnOnce(&SimCtx) + Send>;
 /// [`cpe::AdmTarget`], the lossless event queue stands in for the
 /// transfer itself — the wire-level protocols have their own benches).
 pub struct WorkloadTarget {
-    seg: usize,
     metrics: Metrics,
     state: Mutex<SegState>,
-    /// Interned ids in pooled mode; `None` routes every record through
-    /// the by-name string API with freshly formatted names.
-    ids: Option<SegMetricIds>,
+    ids: SegMetricIds,
     drain_hooks: Mutex<Vec<DrainHook>>,
 }
 
@@ -211,10 +164,10 @@ fn tid_vp(t: Tid) -> u64 {
 }
 
 impl WorkloadTarget {
-    /// A target for `seg` with `hosts` hosts, recording into `metrics`.
-    /// `pooled` interns every metric name up front.
-    pub fn new(seg: usize, hosts: usize, metrics: Metrics, pooled: bool) -> Arc<WorkloadTarget> {
-        let ids = pooled.then(|| SegMetricIds {
+    /// A target for `seg` with `hosts` hosts, recording into `metrics`
+    /// under names interned here, once.
+    pub fn new(seg: usize, hosts: usize, metrics: Metrics) -> Arc<WorkloadTarget> {
+        let ids = SegMetricIds {
             arrivals: metrics.intern_counter(format!("workload.seg{seg}.arrivals")),
             departs: metrics.intern_counter(format!("workload.seg{seg}.departs")),
             migrations: metrics.intern_counter(format!("workload.seg{seg}.migrations")),
@@ -222,9 +175,8 @@ impl WorkloadTarget {
             resident: (0..hosts)
                 .map(|h| metrics.intern_gauge(format!("workload.c{seg}h{h}.resident")))
                 .collect(),
-        });
+        };
         Arc::new(WorkloadTarget {
-            seg,
             metrics,
             state: Mutex::new(SegState {
                 residents: vec![BTreeSet::new(); hosts],
@@ -240,13 +192,7 @@ impl WorkloadTarget {
 
     /// Record the resident-count gauge for `host` (current value `n`).
     fn gauge_resident(&self, host: usize, n: usize) {
-        match &self.ids {
-            Some(ids) => self.metrics.gauge_set_id(ids.resident[host], n as f64),
-            None => self.metrics.gauge_set(
-                &format!("workload.c{}h{}.resident", self.seg, host),
-                n as f64,
-            ),
-        }
+        self.metrics.gauge_set_id(self.ids.resident[host], n as f64);
     }
 
     /// A VP arrives on `host`, contributing `util` load for `lifetime`.
@@ -260,18 +206,9 @@ impl WorkloadTarget {
         s.dirty.insert(h);
         let n = s.residents[h].len();
         drop(s);
-        match &self.ids {
-            Some(ids) => {
-                self.metrics.counter_add_id(ids.arrivals, 1);
-                self.metrics.histogram_record_id(ids.lifetime, lifetime);
-            }
-            None => {
-                self.metrics
-                    .counter_add(&format!("workload.seg{}.arrivals", self.seg), 1);
-                self.metrics
-                    .histogram_record(&format!("workload.seg{}.lifetime_ns", self.seg), lifetime);
-            }
-        }
+        self.metrics.counter_add_id(self.ids.arrivals, 1);
+        self.metrics
+            .histogram_record_id(self.ids.lifetime, lifetime);
         self.gauge_resident(h, n);
     }
 
@@ -286,12 +223,7 @@ impl WorkloadTarget {
         s.dirty.insert(h);
         let n = s.residents[h].len();
         drop(s);
-        match &self.ids {
-            Some(ids) => self.metrics.counter_add_id(ids.departs, 1),
-            None => self
-                .metrics
-                .counter_add(&format!("workload.seg{}.departs", self.seg), 1),
-        }
+        self.metrics.counter_add_id(self.ids.departs, 1);
         self.gauge_resident(h, n);
     }
 
@@ -322,13 +254,7 @@ impl MigrationTarget for WorkloadTarget {
             .collect()
     }
     fn units_count(&self, host: HostId) -> usize {
-        if self.ids.is_some() {
-            // Pooled: the per-host set length, allocation-free.
-            self.state.lock().residents[host.0].len()
-        } else {
-            // Baseline: the pre-pooling cost — materialize the vector.
-            self.units_on(host).len()
-        }
+        self.state.lock().residents[host.0].len()
     }
     fn can_migrate(&self, unit: Tid, _dst: HostId) -> bool {
         self.state.lock().vp_host.contains_key(&tid_vp(unit))
@@ -351,12 +277,7 @@ impl MigrationTarget for WorkloadTarget {
         s.dirty.insert(dst.0);
         let (n_src, n_dst) = (s.residents[src].len(), s.residents[dst.0].len());
         drop(s);
-        match &self.ids {
-            Some(ids) => self.metrics.counter_add_id(ids.migrations, 1),
-            None => self
-                .metrics
-                .counter_add(&format!("workload.seg{}.migrations", self.seg), 1),
-        }
+        self.metrics.counter_add_id(self.ids.migrations, 1);
         self.gauge_resident(src, n_src);
         self.gauge_resident(dst.0, n_dst);
         let _ = ctx;
@@ -401,9 +322,7 @@ pub fn cluster_day_run(cfg: &CdConfig) -> CdRun {
     for i in 0..cfg.shards {
         let sim = ss.sim(i);
         sim.set_trace_enabled(false);
-        if cfg.pooled {
-            sim.set_actor_recycling(true);
-        }
+        sim.set_actor_recycling(true);
         if let Some(cap) = cfg.max_idle_carriers {
             sim.set_max_idle_carriers(cap);
         }
@@ -427,7 +346,7 @@ pub fn cluster_day_run(cfg: &CdConfig) -> CdRun {
             Fault::OwnerReclaim { host: HostId(0) },
         ));
         let cluster = Arc::new(b.with_metrics().build());
-        let target = WorkloadTarget::new(seg, cfg.hosts_per_segment, cluster.metrics(), cfg.pooled);
+        let target = WorkloadTarget::new(seg, cfg.hosts_per_segment, cluster.metrics());
         let gs = cpe::Gs::builder(&cluster)
             .target(Arc::clone(&target) as Arc<dyn MigrationTarget>)
             .policy(cpe::load_threshold(1.5))
@@ -450,7 +369,7 @@ pub fn cluster_day_run(cfg: &CdConfig) -> CdRun {
         let target = Arc::clone(&targets[seg]);
         let feed_mb = gs.feed().expect("central scheduler").clone();
         let metrics = clusters[seg].metrics();
-        let pool: Option<Arc<MailboxPool<()>>> = cfg.pooled.then(|| Arc::new(MailboxPool::new()));
+        let pool: Arc<MailboxPool<()>> = Arc::new(MailboxPool::new());
         let pulses = Arc::clone(&pulses_total);
         let events = events.clone();
         let spread = cfg.hosts_per_segment - 1;
@@ -482,17 +401,12 @@ pub fn cluster_day_run(cfg: &CdConfig) -> CdRun {
                             let util = work.as_secs_f64() / lifetime.as_secs_f64();
                             target.arrive(e.vp_id, host, util, lifetime);
                             if e.vp_id.0.is_multiple_of(VP_SAMPLE) {
-                                let mb = match &pool {
-                                    Some(p) => p.acquire(),
-                                    None => Mailbox::new(),
-                                };
+                                let mb = pool.acquire();
                                 sampled.insert(e.vp_id.0, mb.clone());
-                                let pool = pool.clone();
+                                let pool = Arc::clone(&pool);
                                 ctx.spawn(format!("{}", e.vp_id), move |vctx| {
                                     let _ = mb.recv(&vctx);
-                                    if let Some(p) = pool {
-                                        p.release(mb);
-                                    }
+                                    pool.release(mb);
                                 });
                             }
                         }
@@ -560,221 +474,5 @@ pub fn cluster_day_run(cfg: &CdConfig) -> CdRun {
     }
 }
 
-/// One measured cell of the shard sweep.
-#[derive(Debug, Clone)]
-pub struct CdCell {
-    /// Shards the day ran on.
-    pub shards: usize,
-    /// Trace events replayed.
-    pub trace_events: u64,
-    /// Kernel heap entries processed.
-    pub kernel_events: u64,
-    /// Completed migrations.
-    pub migrations: u64,
-    /// Total GS decisions across segments.
-    pub decisions: usize,
-    /// Best wall clock of the two runs.
-    pub wall_secs: f64,
-    /// Virtual seconds covered.
-    pub sim_secs: f64,
-    /// Both same-count runs byte-identical.
-    pub replay_identical: bool,
-    /// Observables match the 1-shard run byte for byte.
-    pub matches_one_shard: bool,
-}
-
-impl CdCell {
-    /// Trace events per wall second (best run).
-    pub fn events_per_sec(&self) -> f64 {
-        self.trace_events as f64 / self.wall_secs.max(1e-9)
-    }
-}
-
-/// The full measurement: shard sweep + capped-pool run + baseline mode +
-/// the 4096-host flatness cell.
-pub struct CdMeasurement {
-    /// One cell per [`CD_SHARD_COUNTS`] entry (pooled, 1024 hosts).
-    pub cells: Vec<CdCell>,
-    /// Capped carrier pool (2 idle carriers, 4 shards) replayed
-    /// identically to the uncapped 4-shard run.
-    pub capped_identical: bool,
-    /// Baseline mode produced byte-identical decisions + metrics.
-    pub baseline_identical: bool,
-    /// Baseline trace events/sec (1 shard, best of two runs).
-    pub baseline_events_per_sec: f64,
-    /// Pooled/baseline events-per-sec ratio.
-    pub pooling_ratio: f64,
-    /// Per-event wall cost at 1024 hosts (pooled, 1 shard), seconds.
-    pub per_event_small: f64,
-    /// Per-event wall cost at 4096 hosts (pooled, 1 shard), seconds.
-    pub per_event_large: f64,
-    /// Host counts of the flatness pair.
-    pub hosts_small: usize,
-    /// See [`CdMeasurement::hosts_small`].
-    pub hosts_large: usize,
-    /// `per_event_large / per_event_small`.
-    pub flatness: f64,
-    /// Both flatness cells cleared [`FLATNESS_WALL_FLOOR`].
-    pub flatness_measurable: bool,
-}
-
-/// Hosts per segment of the standard (small) scenario.
+/// Hosts per segment of the standard scenario.
 pub const CD_HOSTS_PER_SEGMENT: usize = 128;
-
-/// Hosts per segment of the large flatness cell (4× the standard).
-pub const CD_HOSTS_PER_SEGMENT_LARGE: usize = 512;
-
-/// Run the whole measurement. Every perf number is the best of two runs;
-/// every identity bit compares full observable sets byte for byte.
-pub fn measure_cluster_day(smoke: bool) -> CdMeasurement {
-    let base_cfg = CdConfig::sized(smoke, CD_HOSTS_PER_SEGMENT);
-    let mut cells: Vec<CdCell> = Vec::new();
-    let mut one_shard: Option<CdRun> = None;
-    for &shards in CD_SHARD_COUNTS {
-        let cfg = CdConfig { shards, ..base_cfg };
-        let a = cluster_day_run(&cfg);
-        let b = cluster_day_run(&cfg);
-        let replay_identical = a.metrics_json == b.metrics_json
-            && a.decisions == b.decisions
-            && a.sim_secs == b.sim_secs;
-        let mut wall_secs = a.wall_secs.min(b.wall_secs);
-        if shards == 1 {
-            // The 1-shard wall feeds the pooling ratio and the flatness
-            // pair; a third timing run tightens it against scheduler
-            // noise (the ratio gate compares two ~tens-of-ms walls).
-            wall_secs = wall_secs.min(cluster_day_run(&cfg).wall_secs);
-        }
-        let matches_one_shard = match &one_shard {
-            None => true,
-            Some(base) => {
-                a.decisions == base.decisions
-                    && a.metrics_json == base.metrics_json
-                    && a.trace_events == base.trace_events
-                    && a.sim_secs == base.sim_secs
-            }
-        };
-        cells.push(CdCell {
-            shards,
-            trace_events: a.trace_events,
-            kernel_events: a.kernel_events,
-            migrations: a.migrations,
-            decisions: a.decisions.iter().map(Vec::len).sum(),
-            wall_secs,
-            sim_secs: a.sim_secs,
-            replay_identical,
-            matches_one_shard,
-        });
-        if one_shard.is_none() {
-            one_shard = Some(a);
-        }
-    }
-    let one_shard = one_shard.expect("sweep includes 1 shard");
-
-    let capped = cluster_day_run(&CdConfig {
-        shards: *CD_SHARD_COUNTS.last().unwrap(),
-        max_idle_carriers: Some(2),
-        ..base_cfg
-    });
-    let capped_identical = capped.metrics_json == one_shard.metrics_json
-        && capped.decisions == one_shard.decisions
-        && capped.sim_secs == one_shard.sim_secs;
-
-    let baseline_cfg = CdConfig {
-        pooled: false,
-        ..base_cfg
-    };
-    let base_a = cluster_day_run(&baseline_cfg);
-    let base_b = cluster_day_run(&baseline_cfg);
-    let base_c = cluster_day_run(&baseline_cfg);
-    let baseline_identical = base_a.metrics_json == one_shard.metrics_json
-        && base_a.decisions == one_shard.decisions
-        && base_a.sim_secs == one_shard.sim_secs;
-    let baseline_wall = base_a.wall_secs.min(base_b.wall_secs).min(base_c.wall_secs);
-    let baseline_eps = base_a.trace_events as f64 / baseline_wall.max(1e-9);
-    let pooled_eps = cells[0].events_per_sec();
-
-    let large_cfg = CdConfig::sized(smoke, CD_HOSTS_PER_SEGMENT_LARGE);
-    let large_a = cluster_day_run(&large_cfg);
-    let large_b = cluster_day_run(&large_cfg);
-    let small_wall = cells[0].wall_secs;
-    let large_wall = large_a.wall_secs.min(large_b.wall_secs);
-    let per_event_small = small_wall / cells[0].trace_events as f64;
-    let per_event_large = large_wall / large_a.trace_events as f64;
-
-    CdMeasurement {
-        cells,
-        capped_identical,
-        baseline_identical,
-        baseline_events_per_sec: baseline_eps,
-        pooling_ratio: pooled_eps / baseline_eps.max(1e-9),
-        per_event_small,
-        per_event_large,
-        hosts_small: base_cfg.segments * base_cfg.hosts_per_segment,
-        hosts_large: large_cfg.segments * large_cfg.hosts_per_segment,
-        flatness: per_event_large / per_event_small.max(1e-12),
-        flatness_measurable: small_wall >= FLATNESS_WALL_FLOOR && large_wall >= FLATNESS_WALL_FLOOR,
-    }
-}
-
-/// Render the `"cluster_day"` member of `BENCH_SIM.json` (key + object,
-/// two-space indent, no trailing comma) for
-/// [`crate::splice::merge_section`].
-pub fn render_cluster_day(m: &CdMeasurement, smoke: bool, host_cpus: usize) -> String {
-    use crate::json;
-    let base = &m.cells[0];
-    let mut o = String::new();
-    o.push_str("  \"cluster_day\": {\n");
-    o.push_str(&format!(
-        "    \"mode\": {},\n",
-        json::quote(if smoke { "smoke" } else { "full" })
-    ));
-    o.push_str(&format!(
-        "    \"segments\": {CD_SEGMENTS},\n    \"hosts\": {},\n    \"trace_events\": {},\n",
-        m.hosts_small, base.trace_events
-    ));
-    o.push_str(&format!(
-        "    \"epoch_s\": {},\n    \"vp_sample\": {VP_SAMPLE},\n    \"host_cpus\": {host_cpus},\n",
-        EPOCH.as_nanos() / 1_000_000_000
-    ));
-    o.push_str("    \"shards\": {");
-    for (i, c) in m.cells.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&format!(
-            "\n      {}: {{\"trace_events\": {}, \"kernel_events\": {}, \"migrations\": {}, \"decisions\": {}, \"wall_secs\": {:.4}, \"sim_secs\": {:.2}, \"events_per_sec\": {:.0}, \"replay_identical\": {}, \"matches_one_shard\": {}}}",
-            json::quote(&c.shards.to_string()),
-            c.trace_events,
-            c.kernel_events,
-            c.migrations,
-            c.decisions,
-            c.wall_secs,
-            c.sim_secs,
-            c.events_per_sec(),
-            c.replay_identical,
-            c.matches_one_shard,
-        ));
-    }
-    o.push_str("\n    },\n");
-    o.push_str(&format!(
-        "    \"capped_pool_identical\": {},\n    \"baseline_identical\": {},\n",
-        m.capped_identical, m.baseline_identical
-    ));
-    o.push_str(&format!(
-        "    \"baseline_events_per_sec\": {:.0},\n    \"pooled_events_per_sec\": {:.0},\n    \"pooling_ratio\": {:.3},\n",
-        m.baseline_events_per_sec,
-        base.events_per_sec(),
-        m.pooling_ratio
-    ));
-    o.push_str(&format!(
-        "    \"flatness\": {{\"hosts_small\": {}, \"hosts_large\": {}, \"per_event_ns_small\": {:.0}, \"per_event_ns_large\": {:.0}, \"ratio\": {:.3}, \"measurable\": {}}}\n",
-        m.hosts_small,
-        m.hosts_large,
-        m.per_event_small * 1e9,
-        m.per_event_large * 1e9,
-        m.flatness,
-        m.flatness_measurable
-    ));
-    o.push_str("  }");
-    o
-}

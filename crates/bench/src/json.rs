@@ -6,13 +6,6 @@
 
 use crate::{Reproduction, Row};
 
-/// Escape and quote a string as a JSON string literal.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    escape(s, &mut out);
-    out
-}
-
 fn escape(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {

@@ -7,6 +7,11 @@
 //!
 //! Run with `--release`: the Opt runs perform the real neural-net
 //! arithmetic they charge virtual time for.
+//!
+//! The scenario modules ([`scenarios`], [`par_kernel`], [`cluster_day`],
+//! [`scale`], [`multi_seg`]) build the larger deterministic runs and return
+//! their virtual-time observables; the root package's `tests/gates.rs`
+//! asserts the exact properties, and `benchmark/` measures host cost.
 
 #![warn(missing_docs)]
 
@@ -16,8 +21,7 @@ pub mod json;
 pub mod multi_seg;
 pub mod par_kernel;
 pub mod scale;
-pub mod simbench;
-pub mod splice;
+pub mod scenarios;
 
 use simcore::TraceEvent;
 use std::path::PathBuf;

@@ -21,9 +21,8 @@
 //! Every size runs three times — twice identically and once with the
 //! carrier pool capped at 2 idle threads — and the decision logs plus
 //! metrics JSON must be byte-identical across all three, extending the
-//! replay-identity guarantee to routed clusters. The `multi_segment`
-//! binary asserts the gates in-process and splices a `"multi_segment"`
-//! section into `BENCH_SIM.json`.
+//! replay-identity guarantee to routed clusters. The root package's
+//! `tests/gates.rs` asserts the gates.
 
 use cpe::MigrationTarget;
 use parking_lot::Mutex;
@@ -39,6 +38,9 @@ pub const HOSTS_PER_SEGMENT: usize = 4;
 /// Segment counts the sweep measures.
 pub const SEGMENT_COUNTS: &[usize] = &[2, 4, 8];
 
+/// Churn waves per run.
+pub const ROUNDS: usize = 6;
+
 /// Relative tolerance of measured vs analytic per-hop cost.
 pub const HOP_COST_TOLERANCE: f64 = 1e-6;
 
@@ -48,7 +50,7 @@ pub const HOP_COST_TOLERANCE: f64 = 1e-6;
 pub struct HopCost {
     /// Store-and-forward hops the route takes (1 = same segment).
     pub hops: usize,
-    /// Measured wall of `transfer_blocking`, seconds.
+    /// Virtual duration of `transfer_blocking`, seconds.
     pub measured_s: f64,
     /// Σ per-hop (latency + wire occupancy), seconds.
     pub analytic_s: f64,
@@ -168,8 +170,6 @@ struct SegRun {
     metrics_json: String,
     decisions: usize,
     intra: usize,
-    events: u64,
-    sim_secs: f64,
 }
 
 /// One churn wave hits at `10 + 5k` seconds; every host transitions.
@@ -254,8 +254,6 @@ fn seg_run(segments: usize, rounds: usize, idle_carriers: Option<usize>) -> SegR
         metrics_json: report.to_json(),
         decisions: decisions.len(),
         intra,
-        events: cluster.sim.events_processed(),
-        sim_secs: end.as_secs_f64(),
     }
 }
 
@@ -264,16 +262,10 @@ fn seg_run(segments: usize, rounds: usize, idle_carriers: Option<usize>) -> SegR
 pub struct SegCell {
     /// Segments in the chain.
     pub segments: usize,
-    /// Hosts total.
-    pub hosts: usize,
     /// Scheduler decisions taken.
     pub decisions: usize,
     /// Decisions whose destination shared the source's segment.
     pub intra: usize,
-    /// Simulator heap entries processed.
-    pub events: u64,
-    /// Virtual seconds covered.
-    pub sim_secs: f64,
     /// Whether the second identical run *and* the capped-carrier-pool run
     /// both produced byte-identical decision logs and metrics JSON.
     pub replay_identical: bool,
@@ -290,86 +282,25 @@ impl SegCell {
     }
 }
 
-/// Churn waves per run.
-pub fn rounds(smoke: bool) -> usize {
-    if smoke {
-        6
-    } else {
-        24
-    }
-}
-
 /// Run the sweep: every [`SEGMENT_COUNTS`] entry three times (twice
 /// identical, once with the carrier pool capped at 2).
-pub fn measure_multi_segment(smoke: bool) -> Vec<SegCell> {
-    let rounds = rounds(smoke);
+pub fn measure_multi_segment() -> Vec<SegCell> {
     SEGMENT_COUNTS
         .iter()
         .map(|&segments| {
-            let a = seg_run(segments, rounds, None);
-            let b = seg_run(segments, rounds, None);
-            let c = seg_run(segments, rounds, Some(2));
+            let a = seg_run(segments, ROUNDS, None);
+            let b = seg_run(segments, ROUNDS, None);
+            let c = seg_run(segments, ROUNDS, Some(2));
             let replay_identical = a.decisions_json == b.decisions_json
                 && a.metrics_json == b.metrics_json
                 && a.decisions_json == c.decisions_json
                 && a.metrics_json == c.metrics_json;
             SegCell {
                 segments,
-                hosts: segments * HOSTS_PER_SEGMENT,
                 decisions: a.decisions,
                 intra: a.intra,
-                events: a.events,
-                sim_secs: a.sim_secs,
                 replay_identical,
             }
         })
         .collect()
-}
-
-/// Render the `"multi_segment"` member of `BENCH_SIM.json` (the key and
-/// its object, indented two spaces, no trailing comma).
-pub fn render_multi_segment(ladder: &[HopCost], cells: &[SegCell], smoke: bool) -> String {
-    use crate::json;
-    let mut o = String::new();
-    o.push_str("  \"multi_segment\": {\n");
-    o.push_str(&format!(
-        "    \"mode\": {},\n",
-        json::quote(if smoke { "smoke" } else { "full" })
-    ));
-    o.push_str("    \"policy\": \"load_threshold(1.5)\",\n");
-    o.push_str(&format!(
-        "    \"hosts_per_segment\": {HOSTS_PER_SEGMENT},\n"
-    ));
-    o.push_str(&format!("    \"rounds\": {},\n", rounds(smoke)));
-    o.push_str("    \"store_forward\": {");
-    for (i, h) in ladder.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&format!(
-            "\n      \"{}_hop\": {{\"measured_s\": {:.6}, \"analytic_s\": {:.6}}}",
-            h.hops, h.measured_s, h.analytic_s,
-        ));
-    }
-    o.push_str("\n    },\n");
-    o.push_str("    \"sizes\": {");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&format!(
-            "\n      {}: {{\"hosts\": {}, \"decisions\": {}, \"intra\": {}, \"intra_fraction\": {:.3}, \"events\": {}, \"sim_secs\": {:.2}, \"replay_identical\": {}}}",
-            json::quote(&c.segments.to_string()),
-            c.hosts,
-            c.decisions,
-            c.intra,
-            c.intra_fraction(),
-            c.events,
-            c.sim_secs,
-            c.replay_identical,
-        ));
-    }
-    o.push_str("\n    }\n");
-    o.push_str("  }");
-    o
 }

@@ -8,32 +8,19 @@
 //! the lookahead bound). The whole thing runs at 1, 2, 4 and 8 shards with
 //! segments mapped to shards in contiguous blocks.
 //!
-//! Gates, asserted in-process by the `par_kernel` binary:
-//!
-//! * **Per-count replay identity.** Every shard count runs twice; merged
-//!   metrics JSON (per-shard reports merged in shard order, then the shard
-//!   registry) and every per-segment decision log must be byte-identical.
-//! * **Cross-count invariance.** Per-segment decision logs, total events
-//!   processed, cross-shard handoffs and gossip deliveries must not depend
-//!   on the shard count — partitioning is a wall-clock-only knob.
-//! * **1-shard ≡ sequential.** Four scenarios (figure-1, day-in-the-life,
-//!   migration storm, two-segment gossip) run once on the plain kernel and
-//!   once through a 1-shard [`simcore::ShardedSim`]; traces, metrics JSON
-//!   and decision logs must be byte-identical.
-//! * **Speedup.** ≥ [`SPEEDUP_GATE`]× events/sec at 4 shards vs 1 — only
-//!   enforced when the host has ≥ 4 CPUs (a parallel kernel cannot beat
-//!   itself on serial hardware; the measured ratio and the host CPU count
-//!   are recorded either way).
+//! The observables it returns — per-segment decision logs, merged metrics
+//! JSON, events, ring handoffs, gossip deliveries, virtual end time — must
+//! be byte-identical across replays and invariant across shard counts:
+//! partitioning is a wall-clock-only knob. [`gossip_two_seg`] is the small
+//! single-cluster companion for the 1-shard ≡ sequential-kernel gate. Both
+//! are asserted by the root package's `tests/gates.rs`.
 
-use crate::simbench::{figure1_scenario, storm_run, storm_sizing, DayConfig};
 use cpe::MpvmTarget;
 use mpvm::Mpvm;
-use opt_app::{run_mpvm_opt, run_mpvm_opt_sharded};
 use pvm_rt::{Pvm, TaskApi};
 use simcore::{Mailbox, MetricsReport, ShardedSim, SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 use worknet::{Calib, Cluster, HostId, HostSpec, LinkCalib, LoadTrace, SegmentId};
 
 /// Segments in the parallel storm (one single-segment cluster each).
@@ -42,16 +29,10 @@ pub const PAR_SEGMENTS: usize = 8;
 /// Hosts per segment.
 pub const PAR_HOSTS_PER_SEGMENT: usize = 4;
 
-/// Shard counts the sweep measures.
-pub const SHARD_COUNTS: &[usize] = &[1, 2, 4, 8];
-
 /// Gossip period and ring-link latency: the lookahead bound of every
 /// cross-shard edge, so a shard may run a full gossip period ahead of its
 /// neighbours between synchronizations.
 pub const GOSSIP_PERIOD: SimDuration = SimDuration::from_millis(250);
-
-/// Required events/sec ratio, 4 shards vs 1, on hosts with ≥ 4 CPUs.
-pub const SPEEDUP_GATE: f64 = 1.5;
 
 /// Which shard a segment lives on: contiguous blocks of
 /// `PAR_SEGMENTS / shards` segments.
@@ -60,13 +41,7 @@ pub fn shard_of(segment: usize, shards: usize) -> usize {
 }
 
 /// Gossip rounds per daemon.
-fn gossip_rounds(smoke: bool) -> u64 {
-    if smoke {
-        24
-    } else {
-        60
-    }
-}
+pub const GOSSIP_ROUNDS: u64 = 24;
 
 /// The observables of one `par_storm` run.
 pub struct ParRun {
@@ -82,8 +57,6 @@ pub struct ParRun {
     /// Gossip reports delivered across all daemons (must be
     /// `2 × rounds × PAR_SEGMENTS`).
     pub gossip_msgs: u64,
-    /// Host wall-clock seconds.
-    pub wall_secs: f64,
     /// Virtual seconds covered (max across shards).
     pub sim_secs: f64,
 }
@@ -93,22 +66,18 @@ pub struct ParRun {
 /// GS) pinned to `shard_of(segment, shards)`; segments interact only via
 /// the gossip ring's [`simcore::ShardLink`]s, so every virtual-time
 /// observable is a pure function of the scenario, not of the partitioning.
-pub fn par_storm(shards: usize, smoke: bool, max_idle_carriers: Option<usize>) -> ParRun {
+pub fn par_storm(shards: usize) -> ParRun {
     assert!(
         shards >= 1 && PAR_SEGMENTS.is_multiple_of(shards),
         "shard count must divide {PAR_SEGMENTS}"
     );
-    // Sized so the 1-shard wall clock sits well above timer noise even in
-    // smoke mode — the speedup gate compares wall clocks.
-    let (nworkers, slices) = if smoke { (8, 1000) } else { (12, 2500) };
-    let rounds = gossip_rounds(smoke);
+    // 8 workers on 2 hosts × 300 slices of 0.1 s ≈ 120 virtual seconds:
+    // long enough to outlast the hot host's load plateau (ends at 80 s).
+    let (nworkers, slices) = (8, 300);
+    let rounds = GOSSIP_ROUNDS;
     let t = |s: u64| SimTime(s * 1_000_000_000);
 
     let ss = ShardedSim::new(shards);
-    if let Some(cap) = max_idle_carriers {
-        (0..shards).for_each(|i| ss.sim(i).set_max_idle_carriers(cap));
-    }
-    let start = Instant::now();
 
     let mut schedulers = Vec::new();
     for seg in 0..PAR_SEGMENTS {
@@ -185,7 +154,6 @@ pub fn par_storm(shards: usize, smoke: bool, max_idle_carriers: Option<usize>) -
     }
 
     let end = ss.run().expect("par_storm failed");
-    let wall = start.elapsed().as_secs_f64();
 
     let mut merged: Option<MetricsReport> = None;
     for i in 0..shards {
@@ -210,108 +178,14 @@ pub fn par_storm(shards: usize, smoke: bool, max_idle_carriers: Option<usize>) -
             .copied()
             .unwrap_or(0),
         gossip_msgs: gossip_msgs.load(Ordering::Relaxed),
-        wall_secs: wall,
         sim_secs: end.as_secs_f64(),
-    }
-}
-
-/// One measured shard count of the sweep.
-#[derive(Debug, Clone)]
-pub struct ParCell {
-    /// Shards the storm ran on.
-    pub shards: usize,
-    /// Total heap entries processed.
-    pub events: u64,
-    /// Cross-/same-shard ring envelopes sent.
-    pub handoffs: u64,
-    /// Gossip reports delivered.
-    pub gossip_msgs: u64,
-    /// Total GS decisions across all segments.
-    pub decisions: usize,
-    /// Best wall-clock of the two runs at this count.
-    pub wall_secs: f64,
-    /// Virtual seconds covered.
-    pub sim_secs: f64,
-    /// Two same-count runs produced byte-identical merged metrics JSON and
-    /// decision logs.
-    pub replay_identical: bool,
-    /// Decision logs, events, handoffs, deliveries and virtual end time all
-    /// match the 1-shard run.
-    pub matches_one_shard: bool,
-}
-
-impl ParCell {
-    /// Heap entries per host wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_secs.max(1e-9)
-    }
-}
-
-/// Run the sweep: every [`SHARD_COUNTS`] entry twice (replay identity),
-/// comparing each count's virtual-time observables against the 1-shard run.
-pub fn measure_par_kernel(smoke: bool) -> Vec<ParCell> {
-    let mut cells: Vec<ParCell> = Vec::new();
-    let mut one_shard: Option<ParRun> = None;
-    for &shards in SHARD_COUNTS {
-        let a = par_storm(shards, smoke, None);
-        let b = par_storm(shards, smoke, None);
-        let replay_identical = a.metrics_json == b.metrics_json
-            && a.decisions == b.decisions
-            && a.sim_secs == b.sim_secs;
-        let wall_secs = a.wall_secs.min(b.wall_secs);
-        let matches_one_shard = match &one_shard {
-            None => true,
-            Some(base) => {
-                a.decisions == base.decisions
-                    && a.events == base.events
-                    && a.handoffs == base.handoffs
-                    && a.gossip_msgs == base.gossip_msgs
-                    && a.sim_secs == base.sim_secs
-            }
-        };
-        cells.push(ParCell {
-            shards,
-            events: a.events,
-            handoffs: a.handoffs,
-            gossip_msgs: a.gossip_msgs,
-            decisions: a.decisions.iter().map(Vec::len).sum(),
-            wall_secs,
-            sim_secs: a.sim_secs,
-            replay_identical,
-            matches_one_shard,
-        });
-        if one_shard.is_none() {
-            one_shard = Some(a);
-        }
-    }
-    cells
-}
-
-/// Verdicts of the 1-shard ≡ sequential byte-identity gate, one scenario
-/// per field.
-#[derive(Debug, Clone)]
-pub struct IdentityChecks {
-    /// figure-1 (MPVM migration protocol): trace, events and end time.
-    pub figure1: bool,
-    /// day-in-the-life: metrics JSON, decision log, events and end time.
-    pub day_in_the_life: bool,
-    /// severed migration storm: metrics JSON and events.
-    pub migration_storm: bool,
-    /// two-segment decentralized gossip: metrics JSON and decision log.
-    pub two_segment_gossip: bool,
-}
-
-impl IdentityChecks {
-    /// All four scenarios identical.
-    pub fn all(&self) -> bool {
-        self.figure1 && self.day_in_the_life && self.migration_storm && self.two_segment_gossip
     }
 }
 
 /// Two-segment decentralized-gossip run (the `gossip_replay` acceptance
 /// scenario), optionally through a 1-shard kernel. Returns (metrics JSON,
 /// decision log, virtual end secs).
-fn gossip_two_seg(one_shard: bool) -> (String, Vec<String>, f64) {
+pub fn gossip_two_seg(one_shard: bool) -> (String, Vec<String>, f64) {
     let t = |s: u64| SimTime(s * 1_000_000_000);
     let sharded = one_shard.then(|| ShardedSim::new(1));
     let mut b = Cluster::builder(Calib::hp720_ethernet());
@@ -353,131 +227,4 @@ fn gossip_two_seg(one_shard: bool) -> (String, Vec<String>, f64) {
     let report = cluster.metrics_report(end.since(SimTime::ZERO));
     let decisions = gs.decisions().iter().map(|d| d.to_json()).collect();
     (report.to_json(), decisions, end.as_secs_f64())
-}
-
-/// Run each gate scenario once sequentially and once through a 1-shard
-/// [`ShardedSim`], comparing every deterministic observable byte for byte.
-pub fn check_one_shard_identity(smoke: bool) -> IdentityChecks {
-    let figure1 = {
-        let (cfg, plan) = figure1_scenario(smoke);
-        let seq = run_mpvm_opt(Calib::hp720_ethernet(), &cfg, &plan);
-        let ss = ShardedSim::new(1);
-        let par = run_mpvm_opt_sharded(&ss, Calib::hp720_ethernet(), &cfg, &plan);
-        let lines = |r: &opt_app::RunStats| -> Vec<String> {
-            r.trace.iter().map(|e| e.to_string()).collect()
-        };
-        seq.wall == par.wall
-            && seq.events == par.events
-            && seq.result.losses == par.result.losses
-            && lines(&seq) == lines(&par)
-    };
-
-    let day_in_the_life = {
-        let mut cfg = if smoke {
-            let mut c = DayConfig::smoke(true, 1994);
-            c.iters = 120; // stretch past the first owner session
-            c
-        } else {
-            DayConfig::full(true, 1994)
-        };
-        cfg.metrics = true;
-        let seq = crate::simbench::day_in_the_life(&cfg);
-        cfg.shards = 1;
-        let par = crate::simbench::day_in_the_life(&cfg);
-        let json = |r: &crate::simbench::DayRun| r.metrics.as_ref().expect("metrics on").to_json();
-        let log = |r: &crate::simbench::DayRun| -> Vec<String> {
-            r.gs_decisions.iter().map(|d| d.to_json()).collect()
-        };
-        seq.events == par.events
-            && seq.sim_end_secs == par.sim_end_secs
-            && json(&seq) == json(&par)
-            && log(&seq) == log(&par)
-    };
-
-    let migration_storm = {
-        let (nworkers, state_bytes) = storm_sizing(smoke);
-        let (run_a, json_a) = storm_run(Calib::hp720_ethernet(), nworkers, state_bytes, true, 0);
-        let (run_b, json_b) = storm_run(Calib::hp720_ethernet(), nworkers, state_bytes, true, 1);
-        run_a.events == run_b.events && run_a.sim_secs == run_b.sim_secs && json_a == json_b
-    };
-
-    let two_segment_gossip = {
-        let (m_a, d_a, w_a) = gossip_two_seg(false);
-        let (m_b, d_b, w_b) = gossip_two_seg(true);
-        !d_a.is_empty() && m_a == m_b && d_a == d_b && w_a == w_b
-    };
-
-    IdentityChecks {
-        figure1,
-        day_in_the_life,
-        migration_storm,
-        two_segment_gossip,
-    }
-}
-
-/// Render the `"par_kernel"` member of `BENCH_SIM.json` (the key and its
-/// object, indented two spaces, no trailing comma). The `par_kernel`
-/// binary splices this into the existing document.
-pub fn render_par_kernel(
-    cells: &[ParCell],
-    identity: &IdentityChecks,
-    smoke: bool,
-    host_cpus: usize,
-) -> String {
-    use crate::json;
-    let base = cells
-        .iter()
-        .find(|c| c.shards == 1)
-        .expect("sweep includes 1 shard");
-    let mut o = String::new();
-    o.push_str("  \"par_kernel\": {\n");
-    o.push_str(&format!(
-        "    \"mode\": {},\n",
-        json::quote(if smoke { "smoke" } else { "full" })
-    ));
-    o.push_str(&format!(
-        "    \"segments\": {PAR_SEGMENTS},\n    \"hosts_per_segment\": {PAR_HOSTS_PER_SEGMENT},\n"
-    ));
-    o.push_str(&format!(
-        "    \"lookahead_ms\": {},\n    \"host_cpus\": {host_cpus},\n",
-        GOSSIP_PERIOD.as_nanos() / 1_000_000
-    ));
-    o.push_str("    \"identity_vs_sequential\": {");
-    for (i, (k, v)) in [
-        ("figure1", identity.figure1),
-        ("day_in_the_life", identity.day_in_the_life),
-        ("migration_storm", identity.migration_storm),
-        ("two_segment_gossip", identity.two_segment_gossip),
-    ]
-    .iter()
-    .enumerate()
-    {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&format!("\n      {}: {}", json::quote(k), v));
-    }
-    o.push_str("\n    },\n");
-    o.push_str("    \"shards\": {");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&format!(
-            "\n      {}: {{\"events\": {}, \"handoffs\": {}, \"gossip_msgs\": {}, \"decisions\": {}, \"wall_secs\": {:.4}, \"sim_secs\": {:.2}, \"events_per_sec\": {:.0}, \"speedup_vs_1\": {:.3}, \"replay_identical\": {}, \"matches_one_shard\": {}}}",
-            json::quote(&c.shards.to_string()),
-            c.events,
-            c.handoffs,
-            c.gossip_msgs,
-            c.decisions,
-            c.wall_secs,
-            c.sim_secs,
-            c.events_per_sec(),
-            c.events_per_sec() / base.events_per_sec(),
-            c.replay_identical,
-            c.matches_one_shard,
-        ));
-    }
-    o.push_str("\n    }\n  }");
-    o
 }

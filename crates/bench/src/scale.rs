@@ -11,20 +11,14 @@
 //! *decision* workload is constant across sizes and any cost growth is
 //! pure scheduler overhead.
 //!
-//! Two cost axes are recorded per size:
-//!
-//! * **virtual** — the `gs.decision_ns` histogram mean: simulated decision
-//!   latency, deterministic, replay-comparable;
-//! * **wall** — [`cpe::Gs::decide_wall`]: real host nanoseconds inside
-//!   `policy.decide`, the thing the index actually optimizes. Wall time
-//!   is nondeterministic, so it lives outside the metrics registry and is
-//!   gated with a noise floor ([`WALL_FLOOR_NS`]).
+//! The cost axis is virtual: the `gs.decision_ns` histogram mean — simulated
+//! decision latency, deterministic and replay-comparable. (The host cost
+//! of `policy.decide` is `benchmark/`'s `cpe.decide_ns` probe.)
 //!
 //! Each size runs three times: twice identically (byte-identical decision
 //! logs + metrics JSON required) and once with the carrier pool capped at
 //! 2 idle threads (scheduling decisions must not depend on the thread
-//! pool). The `sched_scale` binary asserts the gates in-process and
-//! splices a `"sched_scale"` section into `BENCH_SIM.json`.
+//! pool). The root package's `tests/gates.rs` asserts the gates.
 
 use cpe::MigrationTarget;
 use parking_lot::Mutex;
@@ -32,7 +26,6 @@ use pvm_rt::{MigrationOutcome, Tid};
 use simcore::{SimCtx, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 use worknet::{Calib, Cluster, HostId, HostSpec, LoadTrace};
 
 /// Hosts that ever exceed the evacuation threshold — fixed across sizes
@@ -42,10 +35,8 @@ pub const HOT_HOSTS: usize = 16;
 /// The cluster sizes the sweep measures.
 pub const SIZES: &[usize] = &[64, 256, 1024];
 
-/// Noise floor for the wall-time gate, in nanoseconds per decide call.
-/// Below this, per-call cost is dominated by timer granularity and cache
-/// effects, not algorithmic work, and ratios are meaningless.
-pub const WALL_FLOOR_NS: f64 = 10_000.0;
+/// Churn waves per run.
+pub const ROUNDS: usize = 6;
 
 /// A deferred GS drain hook (what `MigrationTarget::on_drain` receives).
 type DrainHook = Box<dyn FnOnce(&SimCtx) + Send>;
@@ -114,11 +105,6 @@ struct ScaleRun {
     metrics_json: String,
     decision_ns_mean: f64,
     decisions: u64,
-    decide_wall_ns: u64,
-    decide_calls: u64,
-    events: u64,
-    wall_secs: f64,
-    sim_secs: f64,
 }
 
 /// One churn wave hits at `10 + 5k` seconds; every host transitions.
@@ -166,22 +152,14 @@ fn scale_run(hosts: usize, rounds: usize, idle_carriers: Option<usize>) -> Scale
         ctx.advance(t_end.since(SimTime::ZERO));
         driver_target.drain(&ctx);
     });
-    let t0 = Instant::now();
     let end = cluster.sim.run().expect("sched_scale run failed");
-    let wall_secs = t0.elapsed().as_secs_f64();
     let report = cluster.metrics_report(end.since(SimTime::ZERO));
     let decision_hist = report.histograms.get("gs.decision_ns");
-    let (decide_wall_ns, decide_calls) = gs.decide_wall();
     ScaleRun {
         decisions_json: gs.decisions().iter().map(|d| d.to_json()).collect(),
         metrics_json: report.to_json(),
         decision_ns_mean: decision_hist.map(|h| h.mean_ns()).unwrap_or(0.0),
         decisions: decision_hist.map(|h| h.count()).unwrap_or(0),
-        decide_wall_ns,
-        decide_calls,
-        events: cluster.sim.events_processed(),
-        wall_secs,
-        sim_secs: end.as_secs_f64(),
     }
 }
 
@@ -194,41 +172,21 @@ pub struct ScaleCell {
     pub decisions: u64,
     /// Mean simulated decision latency, nanoseconds.
     pub decision_ns_mean: f64,
-    /// Mean real nanoseconds per `policy.decide` call.
-    pub wall_per_decide_ns: f64,
-    /// `policy.decide` invocations.
-    pub decide_calls: u64,
-    /// Simulator heap entries processed.
-    pub events: u64,
-    /// Host wall-clock seconds for the measured run.
-    pub wall_secs: f64,
-    /// Virtual seconds covered.
-    pub sim_secs: f64,
     /// Whether the second identical run *and* the capped-carrier-pool run
     /// both produced byte-identical decision logs and metrics JSON.
     pub replay_identical: bool,
 }
 
-/// Churn waves per run.
-pub fn rounds(smoke: bool) -> usize {
-    if smoke {
-        6
-    } else {
-        24
-    }
-}
-
 /// Run the sweep: every [`SIZES`] entry three times (twice identical,
 /// once with the carrier pool capped) and collect one [`ScaleCell`] per
 /// size from the first run.
-pub fn measure_sched_scale(smoke: bool) -> Vec<ScaleCell> {
-    let rounds = rounds(smoke);
+pub fn measure_sched_scale() -> Vec<ScaleCell> {
     SIZES
         .iter()
         .map(|&hosts| {
-            let a = scale_run(hosts, rounds, None);
-            let b = scale_run(hosts, rounds, None);
-            let c = scale_run(hosts, rounds, Some(2));
+            let a = scale_run(hosts, ROUNDS, None);
+            let b = scale_run(hosts, ROUNDS, None);
+            let c = scale_run(hosts, ROUNDS, Some(2));
             let replay_identical = a.decisions_json == b.decisions_json
                 && a.metrics_json == b.metrics_json
                 && a.decisions_json == c.decisions_json
@@ -237,66 +195,8 @@ pub fn measure_sched_scale(smoke: bool) -> Vec<ScaleCell> {
                 hosts,
                 decisions: a.decisions,
                 decision_ns_mean: a.decision_ns_mean,
-                wall_per_decide_ns: a.decide_wall_ns as f64 / a.decide_calls.max(1) as f64,
-                decide_calls: a.decide_calls,
-                events: a.events,
-                wall_secs: a.wall_secs,
-                sim_secs: a.sim_secs,
                 replay_identical,
             }
         })
         .collect()
-}
-
-/// The wall-time cost of a cell with the noise floor applied.
-pub fn floored_wall(cell: &ScaleCell) -> f64 {
-    cell.wall_per_decide_ns.max(WALL_FLOOR_NS)
-}
-
-/// Render the `"sched_scale"` member of `BENCH_SIM.json` (the key and its
-/// object, indented two spaces, no trailing comma).
-pub fn render_sched_scale(cells: &[ScaleCell], smoke: bool) -> String {
-    use crate::json;
-    let mut o = String::new();
-    o.push_str("  \"sched_scale\": {\n");
-    o.push_str(&format!(
-        "    \"mode\": {},\n",
-        json::quote(if smoke { "smoke" } else { "full" })
-    ));
-    o.push_str("    \"policy\": \"load_threshold(1.5)\",\n");
-    o.push_str(&format!("    \"hot_hosts\": {HOT_HOSTS},\n"));
-    o.push_str(&format!("    \"rounds\": {},\n", rounds(smoke)));
-    o.push_str("    \"sizes\": {");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&format!(
-            "\n      {}: {{\"decisions\": {}, \"decision_ns_mean\": {:.0}, \"wall_per_decide_ns\": {:.0}, \"decide_calls\": {}, \"events\": {}, \"wall_secs\": {:.4}, \"sim_secs\": {:.2}, \"replay_identical\": {}}}",
-            json::quote(&c.hosts.to_string()),
-            c.decisions,
-            c.decision_ns_mean,
-            c.wall_per_decide_ns,
-            c.decide_calls,
-            c.events,
-            c.wall_secs,
-            c.sim_secs,
-            c.replay_identical,
-        ));
-    }
-    o.push_str("\n    }");
-    if let (Some(first), Some(last)) = (cells.first(), cells.last()) {
-        o.push_str(&format!(
-            ",\n    \"decision_ns_ratio_largest_vs_smallest\": {:.3},\n",
-            last.decision_ns_mean / first.decision_ns_mean.max(1.0)
-        ));
-        o.push_str(&format!(
-            "    \"wall_per_decide_ratio_largest_vs_smallest\": {:.3}\n",
-            floored_wall(last) / floored_wall(first)
-        ));
-    } else {
-        o.push('\n');
-    }
-    o.push_str("  }");
-    o
 }

@@ -19,8 +19,7 @@ use worknet::{Calib, Cluster, HostId};
 pub struct RunStats {
     /// Virtual wall-clock of the whole run, seconds.
     pub wall: f64,
-    /// Simulator heap entries processed (handoffs + kernel events) — the
-    /// throughput denominator for `simbench`.
+    /// Simulator heap entries processed (handoffs + kernel events).
     pub events: u64,
     /// The training result (checksum + loss curve).
     pub result: TrainResult,

@@ -259,7 +259,7 @@ impl World {
     }
 
     /// Total heap entries processed so far: actor handoffs plus kernel
-    /// events. The throughput denominator reported by `simbench`.
+    /// events.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
