@@ -232,6 +232,38 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// 64-bit FNV-1a, the digest the pinned constants below were taken with.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The generator's output is pinned byte for byte: these digests of
+    /// `write_str(&generate(&cfg))` were computed before the generation
+    /// loop was restructured per class, and every replay digest downstream
+    /// (`cluster_day`'s `sim_digest`) depends on them not moving.
+    #[test]
+    fn generated_documents_are_pinned() {
+        let mut flat_skewed = GeneratorConfig::cluster_day(13, 3, 9_000);
+        flat_skewed.class_skew = 1.0;
+        flat_skewed.diurnal_amplitude = 0.0;
+        for (cfg, pinned) in [
+            (
+                GeneratorConfig::cluster_day(1994, 8, 5_000),
+                0xf8fd_fefe_356f_56d2u64,
+            ),
+            (
+                GeneratorConfig::cluster_day(7, 3, 1_000),
+                0xa018_a57c_b324_d50a,
+            ),
+            (flat_skewed, 0xa0e8_98b3_9c7b_5237),
+        ] {
+            let got = fnv1a(write_str(&generate(&cfg)).as_bytes());
+            assert_eq!(got, pinned, "{cfg:?}: got {got:#018x}");
+        }
+    }
+
     fn config_strategy() -> impl Strategy<Value = GeneratorConfig> {
         (
             proptest::prelude::any::<u64>(),
