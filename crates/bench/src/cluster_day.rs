@@ -9,6 +9,12 @@
 //! through the fault plane, and the whole thing partitioned across
 //! [`simcore::ShardedSim`] shards by segment.
 //!
+//! The trace is generated as one canonical stream per host class
+//! ([`workload::generate_by_class`]) and each stream is moved into its
+//! segment's driver actor, so a single copy of it exists from generation
+//! to the end of the run. Decision logs are rendered after the run by
+//! [`cpe::Gs::decisions_json`].
+//!
 //! The replay hot path is pooled: metric names are interned once per
 //! segment ([`simcore::CounterId`] & co.), sampled-VP mailboxes come from
 //! a [`simcore::MailboxPool`], actor slots are recycled
@@ -306,17 +312,14 @@ pub fn cluster_day_run(cfg: &CdConfig) -> CdRun {
         cfg.hosts_per_segment >= 2,
         "need an entry host plus at least one destination per segment"
     );
-    let trace = workload::generate(&GeneratorConfig::cluster_day(
+    // One canonical stream per host class (→ segment), each moved into
+    // its segment's driver below.
+    let streams = workload::generate_by_class(&GeneratorConfig::cluster_day(
         cfg.seed,
         cfg.segments as u16,
         cfg.arrivals,
     ));
-    let trace_events = trace.len() as u64;
-    // Partition by class; per-class order stays canonical.
-    let mut per_seg: Vec<Vec<workload::TraceEvent>> = vec![Vec::new(); cfg.segments];
-    for e in &trace {
-        per_seg[e.host_class.0 as usize].push(*e);
-    }
+    let trace_events = streams.iter().map(|s| s.len() as u64).sum();
 
     let ss = ShardedSim::new(cfg.shards);
     for i in 0..cfg.shards {
@@ -332,7 +335,7 @@ pub fn cluster_day_run(cfg: &CdConfig) -> CdRun {
     let mut schedulers = Vec::new();
     let mut targets: Vec<Arc<WorkloadTarget>> = Vec::new();
     let mut clusters = Vec::new();
-    for (seg, events) in per_seg.into_iter().enumerate() {
+    for seg in 0..cfg.segments {
         let here = cd_shard_of(seg, cfg.segments, cfg.shards);
         let mut b = Cluster::builder(Calib::hp720_ethernet()).on_sim(ss.sim(here).clone());
         for h in 0..cfg.hosts_per_segment {
@@ -354,24 +357,22 @@ pub fn cluster_day_run(cfg: &CdConfig) -> CdRun {
             .spawn();
         targets.push(Arc::clone(&target));
         clusters.push(Arc::clone(&cluster));
-        schedulers.push((gs, events));
+        schedulers.push(gs);
     }
 
     // Ring mailboxes + links, then the drivers (one per segment).
     let ring: Vec<Mailbox<u32>> = (0..cfg.segments).map(|_| Mailbox::new()).collect();
-    for seg in 0..cfg.segments {
-        let (gs, events) = &schedulers[seg];
+    for (seg, events) in streams.into_iter().enumerate() {
         let right = (seg + 1) % cfg.segments;
         let here = cd_shard_of(seg, cfg.segments, cfg.shards);
         let to_right = ss.link(here, cd_shard_of(right, cfg.segments, cfg.shards), EPOCH);
         let my_mb = ring[seg].clone();
         let right_mb = ring[right].clone();
         let target = Arc::clone(&targets[seg]);
-        let feed_mb = gs.feed().expect("central scheduler").clone();
+        let feed_mb = schedulers[seg].feed().expect("central scheduler").clone();
         let metrics = clusters[seg].metrics();
         let pool: Arc<MailboxPool<()>> = Arc::new(MailboxPool::new());
         let pulses = Arc::clone(&pulses_total);
-        let events = events.clone();
         let spread = cfg.hosts_per_segment - 1;
         ss.sim(here).spawn(format!("driver{seg}"), move |ctx| {
             let mut feed = LoadFeed::new(feed_mb, metrics);
@@ -460,10 +461,7 @@ pub fn cluster_day_run(cfg: &CdConfig) -> CdRun {
         .map(|(_, v)| *v)
         .sum();
     CdRun {
-        decisions: schedulers
-            .iter()
-            .map(|(gs, _)| gs.decisions().iter().map(|d| d.to_json()).collect())
-            .collect(),
+        decisions: schedulers.iter().map(cpe::Gs::decisions_json).collect(),
         metrics_json: merged.to_json(),
         trace_events,
         kernel_events: ss.events_processed(),

@@ -28,6 +28,7 @@ use crate::target::MigrationTarget;
 use parking_lot::Mutex;
 use simcore::{sim_trace, Mailbox, Metrics, SimCtx};
 use std::collections::{BTreeMap, HashSet};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use worknet::{Cluster, HostId};
@@ -51,19 +52,30 @@ impl Decision {
     /// Render the decision as one deterministic JSON object (the same
     /// hand-rolled dialect as [`simcore::MetricsReport::to_json`]).
     pub fn to_json(&self) -> String {
-        let event = match &self.event {
-            MonitorEvent::OwnerActive(h) => format!("owner_active:{}", h.0),
-            MonitorEvent::OwnerAway(h) => format!("owner_away:{}", h.0),
-            MonitorEvent::LoadChanged(h, l) => format!("load_changed:{}:{}", h.0, l),
-            MonitorEvent::LoadBatch(batch) => {
-                let deltas: Vec<String> = batch
-                    .iter()
-                    .map(|(h, l)| format!("{}:{}", h.0, l))
-                    .collect();
-                format!("load_batch:{}", deltas.join(","))
+        self.json_line(&event_label(&self.event))
+    }
+
+    /// Render a whole decision log, one [`Decision::to_json`] line per
+    /// decision. One monitor event usually prompts a run of consecutive
+    /// decisions, and a `LoadBatch` label spells out every host in the
+    /// batch, so the label is rendered once per run of equal events, not
+    /// once per decision.
+    pub fn log_to_json(log: &[Decision]) -> Vec<String> {
+        let mut lines = Vec::with_capacity(log.len());
+        let mut labelled: Option<&MonitorEvent> = None;
+        let mut label = String::new();
+        for d in log {
+            if labelled != Some(&d.event) {
+                label = event_label(&d.event);
+                labelled = Some(&d.event);
             }
-            MonitorEvent::Tick => "tick".to_string(),
-        };
+            lines.push(d.json_line(&label));
+        }
+        lines
+    }
+
+    /// The JSON line of this decision, given its event's label.
+    fn json_line(&self, event: &str) -> String {
         let outcome = match &self.outcome {
             pvm_rt::MigrationOutcome::Completed { new_tid } => {
                 format!("{{\"completed\": \"{new_tid}\"}}")
@@ -78,6 +90,24 @@ impl Decision {
             self.unit,
             self.dst.0,
         )
+    }
+}
+
+/// The `"event"` label of a decision line.
+fn event_label(event: &MonitorEvent) -> String {
+    match event {
+        MonitorEvent::OwnerActive(h) => format!("owner_active:{}", h.0),
+        MonitorEvent::OwnerAway(h) => format!("owner_away:{}", h.0),
+        MonitorEvent::LoadChanged(h, l) => format!("load_changed:{}:{}", h.0, l),
+        MonitorEvent::LoadBatch(batch) => {
+            let mut label = String::from("load_batch:");
+            for (i, (h, l)) in batch.iter().enumerate() {
+                let sep = if i == 0 { "" } else { "," };
+                write!(label, "{sep}{}:{}", h.0, l).expect("writing to a String");
+            }
+            label
+        }
+        MonitorEvent::Tick => "tick".to_string(),
     }
 }
 
@@ -320,6 +350,12 @@ impl Gs {
     /// Decisions taken so far (or over the whole run, after it ends).
     pub fn decisions(&self) -> Vec<Decision> {
         self.decisions.lock().clone()
+    }
+
+    /// The decision log so far as JSON lines ([`Decision::log_to_json`]),
+    /// rendered from the log in place rather than from a clone of it.
+    pub fn decisions_json(&self) -> Vec<String> {
+        Decision::log_to_json(&self.decisions.lock())
     }
 
     /// Wall-clock cost of the policy's decide calls so far: `(total

@@ -2,11 +2,11 @@
 
 use cpe::{
     decentralized_gossip, destination_swap, load_threshold, owner_reclaim, rebalance, AdmTarget,
-    Gs, MigrationTarget, MpvmTarget, UpvmTarget,
+    Decision, Gs, Load, LoadFeed, MigrationTarget, MonitorEvent, MpvmTarget, UpvmTarget,
 };
 use mpvm::Mpvm;
-use pvm_rt::{Pvm, TaskApi};
-use simcore::SimTime;
+use pvm_rt::{MigrationOutcome, Pvm, PvmError, TaskApi, Tid};
+use simcore::{SimCtx, SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use upvm::Upvm;
@@ -431,4 +431,108 @@ fn decentralized_gossip_schedules_without_central_gs() {
     assert!(a.2 >= 2, "both moves appear in the shared decision log");
     let b = run();
     assert_eq!(a, b, "bit-identical replay");
+}
+
+/// A bookkeeping-only migration system (units are just tids filed under a
+/// host) that refuses every migration onto one host.
+struct RefusingTarget {
+    units: Mutex<Vec<Vec<Tid>>>,
+    refused: HostId,
+    drain_hooks: Mutex<Vec<DrainHook>>,
+}
+
+type DrainHook = Box<dyn FnOnce(&SimCtx) + Send>;
+
+impl MigrationTarget for RefusingTarget {
+    fn kind(&self) -> &'static str {
+        "ledger"
+    }
+    fn units_on(&self, host: HostId) -> Vec<Tid> {
+        self.units.lock().unwrap()[host.0].clone()
+    }
+    fn can_migrate(&self, _unit: Tid, _dst: HostId) -> bool {
+        true
+    }
+    fn migrate(&self, _ctx: &SimCtx, unit: Tid, dst: HostId) -> MigrationOutcome {
+        if dst == self.refused {
+            return MigrationOutcome::Failed {
+                error: PvmError::HostDown(dst),
+            };
+        }
+        let mut units = self.units.lock().unwrap();
+        for on_host in units.iter_mut() {
+            on_host.retain(|u| *u != unit);
+        }
+        units[dst.0].push(unit);
+        MigrationOutcome::Completed { new_tid: unit }
+    }
+    fn on_drain(&self, f: DrainHook) {
+        self.drain_hooks.lock().unwrap().push(f);
+    }
+}
+
+#[test]
+fn decision_log_renders_the_same_whole_as_line_by_line() {
+    // Four quiet hosts; host2 — empty, so the preferred destination —
+    // refuses every migration, and each first attempt fails onto it.
+    let mut b = Cluster::builder(Calib::hp720_ethernet());
+    b.quiet_hp720s(4);
+    let cluster = Arc::new(b.build());
+    let unit = |h: usize, i: u32| Tid::new(HostId(h), i);
+    let target = Arc::new(RefusingTarget {
+        units: Mutex::new(vec![
+            vec![unit(0, 0), unit(0, 1), unit(0, 2)],
+            vec![unit(1, 0), unit(1, 1)],
+            vec![],
+            vec![unit(3, 0)],
+        ]),
+        refused: HostId(2),
+        drain_hooks: Mutex::new(Vec::new()),
+    });
+    let gs = Gs::builder(&cluster)
+        .target(Arc::clone(&target) as Arc<dyn MigrationTarget>)
+        .policy(load_threshold(1.5))
+        .spawn();
+    let feed_mb = gs.feed().expect("central scheduler").clone();
+    let metrics = cluster.metrics();
+    cluster.sim.spawn("driver", move |ctx| {
+        let second = SimDuration::from_secs(1);
+        let mut feed = LoadFeed::new(feed_mb.clone(), metrics);
+        // Two hot hosts at once: one LoadBatch, a unit peeled off each.
+        ctx.advance(second);
+        feed.report(HostId(0), Load(3.0));
+        feed.report(HostId(1), Load(2.5));
+        feed.flush(&ctx);
+        // One hot host: a plain LoadChanged.
+        ctx.advance(second);
+        feed.report(HostId(1), Load(2.0));
+        feed.flush(&ctx);
+        // The owner of host0 returns: everything left there moves.
+        ctx.advance(second);
+        feed_mb.send(&ctx, MonitorEvent::OwnerActive(HostId(0)));
+        ctx.advance(second);
+        for hook in std::mem::take(&mut *target.drain_hooks.lock().unwrap()) {
+            hook(&ctx);
+        }
+    });
+    cluster.sim.run().unwrap();
+
+    let log = gs.decisions();
+    let has = |p: fn(&MonitorEvent) -> bool| log.iter().any(|d| p(&d.event));
+    assert!(has(|e| matches!(e, MonitorEvent::LoadBatch(_))));
+    assert!(has(|e| matches!(e, MonitorEvent::LoadChanged(..))));
+    assert!(has(|e| matches!(e, MonitorEvent::OwnerActive(_))));
+    assert!(log.iter().any(|d| !d.outcome.is_completed()));
+    // Both cases the per-run label cache must get right.
+    assert!(log.windows(2).any(|w| w[0].event == w[1].event));
+    assert!(log.windows(2).any(|w| w[0].event != w[1].event));
+
+    let line_by_line: Vec<String> = log.iter().map(Decision::to_json).collect();
+    assert_eq!(gs.decisions_json(), line_by_line);
+    assert_eq!(Decision::log_to_json(&log), line_by_line);
+    assert!(
+        line_by_line[0].contains("\"event\": \"load_batch:0:3,1:2.5\""),
+        "{}",
+        line_by_line[0]
+    );
 }

@@ -97,6 +97,26 @@ fn class_weight(cfg: &GeneratorConfig, c: u16) -> f64 {
 /// Panics on a degenerate config: zero classes, a zero horizon shorter
 /// than the minimum lifetime, or a non-positive Pareto exponent.
 pub fn generate(cfg: &GeneratorConfig) -> Vec<TraceEvent> {
+    let mut events = generate_by_class(cfg).concat();
+    sort_canonical(&mut events);
+    events
+}
+
+/// Generate the trace described by `cfg` as one stream per host class
+/// (index = class), each in canonical replay order — the shape a replay
+/// that partitions by class consumes, without ever holding or sorting the
+/// interleaved whole. [`generate`] is these streams concatenated and
+/// re-sorted.
+///
+/// Each class is ordered by its structure instead of by comparison-sorting
+/// whole rows: arrivals are drawn bucket by bucket and buckets are disjoint
+/// time ranges, so sorting each bucket's slice orders them; departures are
+/// sorted as bare `(at, vp)` keys and merged in.
+///
+/// # Panics
+///
+/// As [`generate`].
+pub fn generate_by_class(cfg: &GeneratorConfig) -> Vec<Vec<TraceEvent>> {
     assert!(cfg.classes > 0, "generate: need at least one host class");
     assert!(
         cfg.horizon.0 > cfg.min_lifetime.0,
@@ -115,14 +135,22 @@ pub fn generate(cfg: &GeneratorConfig) -> Vec<TraceEvent> {
     let mut exact = 0.0f64;
     let mut assigned = 0usize;
     let mut next_vp = 0u64;
-    let mut events = Vec::with_capacity(cfg.arrivals * 2);
+    let mut classes = Vec::with_capacity(cfg.classes as usize);
     for c in 0..cfg.classes {
-        for b in 0..BUCKETS {
+        // The class's quotas first, so its buffers are sized exactly.
+        let mut quota = [0usize; BUCKETS];
+        for (b, n) in quota.iter_mut().enumerate() {
             exact +=
                 cfg.arrivals as f64 * class_weight(cfg, c) * bucket_weight(cfg, b) / total_weight;
             let upto = exact.round() as usize;
-            let n = upto.saturating_sub(assigned);
+            *n = upto.saturating_sub(assigned);
             assigned = assigned.max(upto);
+        }
+        let total: usize = quota.iter().sum();
+        let mut arrivals = Vec::with_capacity(total);
+        let mut departures: Vec<(SimTime, VpId)> = Vec::with_capacity(total);
+        for (b, &n) in quota.iter().enumerate() {
+            let bucket_start = arrivals.len();
             for _ in 0..n {
                 let at = SimTime(b as u64 * bucket_ns + rng.next_u64() % bucket_ns);
                 // Pareto lifetime, clamped so the departure stays inside
@@ -137,24 +165,48 @@ pub fn generate(cfg: &GeneratorConfig) -> Vec<TraceEvent> {
                 let work = SimDuration(((lifetime.0 as f64 * util) as u64).max(1));
                 let vp_id = VpId(next_vp);
                 next_vp += 1;
-                events.push(TraceEvent {
+                arrivals.push(TraceEvent {
                     at,
                     host_class: HostClass(c),
                     vp_id,
                     kind: TraceEventKind::Arrive { work, lifetime },
                 });
-                events.push(TraceEvent {
-                    at: at + lifetime,
-                    host_class: HostClass(c),
-                    vp_id,
-                    kind: TraceEventKind::Depart,
-                });
+                departures.push((at + lifetime, vp_id));
             }
+            // VP ids are unique, so the unstable sorts are deterministic.
+            arrivals[bucket_start..].sort_unstable_by_key(|e| (e.at, e.vp_id));
         }
+        departures.sort_unstable();
+        classes.push(merge_departures(HostClass(c), arrivals, departures));
     }
     debug_assert_eq!(assigned, cfg.arrivals);
-    sort_canonical(&mut events);
-    events
+    classes
+}
+
+/// Merge one class's ordered arrivals and ordered departure keys into its
+/// canonical stream (an arrival goes first on an `(at, vp)` tie, as in
+/// [`sort_canonical`]).
+fn merge_departures(
+    host_class: HostClass,
+    arrivals: Vec<TraceEvent>,
+    departures: Vec<(SimTime, VpId)>,
+) -> Vec<TraceEvent> {
+    let depart = |(at, vp_id)| TraceEvent {
+        at,
+        host_class,
+        vp_id,
+        kind: TraceEventKind::Depart,
+    };
+    let mut out = Vec::with_capacity(arrivals.len() + departures.len());
+    let mut departures = departures.into_iter().peekable();
+    for a in arrivals {
+        while let Some(d) = departures.next_if(|&d| d < (a.at, a.vp_id)) {
+            out.push(depart(d));
+        }
+        out.push(a);
+    }
+    out.extend(departures.map(depart));
+    out
 }
 
 #[cfg(test)]
@@ -292,6 +344,27 @@ mod tests {
         #[test]
         fn generator_is_deterministic(cfg in config_strategy()) {
             prop_assert_eq!(generate(&cfg), generate(&cfg));
+        }
+
+        /// The per-class streams are exactly the canonical trace
+        /// partitioned by class (order preserved), and re-sorting their
+        /// concatenation gives the canonical trace back.
+        #[test]
+        fn by_class_is_the_canonical_trace_partitioned(cfg in config_strategy()) {
+            let whole = generate(&cfg);
+            let by_class = generate_by_class(&cfg);
+            prop_assert_eq!(by_class.len(), cfg.classes as usize);
+            for (c, stream) in by_class.iter().enumerate() {
+                let expected: Vec<TraceEvent> = whole
+                    .iter()
+                    .filter(|e| e.host_class.0 as usize == c)
+                    .copied()
+                    .collect();
+                prop_assert_eq!(stream, &expected);
+            }
+            let mut concatenated = by_class.concat();
+            sort_canonical(&mut concatenated);
+            prop_assert_eq!(concatenated, whole);
         }
 
         /// Satellite property 2: generate → write → read is the identity

@@ -17,6 +17,8 @@
 //! * [`generate`] — a seeded synthetic generator: diurnal-curve arrival
 //!   rates, Pareto-tailed lifetimes, per-class skew. Same
 //!   [`GeneratorConfig`] → byte-identical trace, always.
+//!   [`generate_by_class`] yields the same events as one canonical stream
+//!   per host class, the shape the replay driver consumes.
 //!
 //! The replay driver itself lives in the bench crate (`cluster_day`),
 //! where it feeds these events through the GS, monitor, migration and
@@ -25,11 +27,11 @@
 #![warn(missing_docs)]
 
 use simcore::{SimDuration, SimTime};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 mod gen;
 
-pub use gen::{generate, GeneratorConfig};
+pub use gen::{generate, generate_by_class, GeneratorConfig};
 
 /// Identity of one virtual processor across its arrive/depart pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -115,24 +117,37 @@ pub const FORMAT_HEADER: &str = "workload-trace-v1";
 /// dslab-iaas Azure/Huawei dataset readers, so external traces convert in
 /// with a one-line-per-event mapping.
 pub fn write_str(events: &[TraceEvent]) -> String {
-    // ~40 bytes/line is a comfortable overestimate for typical traces.
-    let mut out = String::with_capacity(FORMAT_HEADER.len() + 1 + events.len() * 40);
-    out.push_str(FORMAT_HEADER);
+    let mut out = String::from(FORMAT_HEADER);
     out.push('\n');
+    let header = out.len();
+    // Size the buffer once, from an evenly strided sample of rows rendered
+    // in place (every row when there are few): rows widen along the trace
+    // with the digits of `at`, so the first rows alone would run short.
+    let stride = events.len().div_ceil(256).max(1);
+    let sample = events.iter().step_by(stride);
+    let sampled = sample.len().max(1);
+    for e in sample {
+        push_row(&mut out, e);
+    }
+    let row_bytes = (out.len() - header).div_ceil(sampled);
+    out.truncate(header);
+    out.reserve(events.len() * row_bytes);
     for e in events {
-        match e.kind {
-            TraceEventKind::Arrive { work, lifetime } => {
-                out.push_str(&format!(
-                    "A {} {} {} {} {}\n",
-                    e.at.0, e.host_class.0, e.vp_id.0, work.0, lifetime.0
-                ));
-            }
-            TraceEventKind::Depart => {
-                out.push_str(&format!("D {} {} {}\n", e.at.0, e.host_class.0, e.vp_id.0));
-            }
-        }
+        push_row(&mut out, e);
     }
     out
+}
+
+/// Append one event's line to `out`.
+fn push_row(out: &mut String, e: &TraceEvent) {
+    let (at, class, vp) = (e.at.0, e.host_class.0, e.vp_id.0);
+    match e.kind {
+        TraceEventKind::Arrive { work, lifetime } => {
+            writeln!(out, "A {at} {class} {vp} {} {}", work.0, lifetime.0)
+        }
+        TraceEventKind::Depart => writeln!(out, "D {at} {class} {vp}"),
+    }
+    .expect("writing to a String");
 }
 
 /// A malformed trace document.
